@@ -26,6 +26,13 @@ SCENARIO = Path(__file__).parent / "scenarios" / \
     "estimation_glucose_day.json"
 
 
+def _series_total(snapshot: dict, name: str, **labels: str) -> float:
+    """Sum of one metric family's series whose labels match ``labels``."""
+    return sum(series["value"]
+               for series in snapshot["instruments"][name]["series"]
+               if labels.items() <= series["labels"].items())
+
+
 def _max_difference(a, b) -> float:
     """Largest absolute numeric difference between two JSON payloads.
 
@@ -91,10 +98,14 @@ def main() -> None:
         print(f"stream result == job result (max difference {worst:.1e},"
               f" gate 1e-9)")
 
+        # GET /metrics is the server's metrics registry snapshot.
         metrics = client.metrics()
-        print(f"served {metrics['counters']['readings.pushed']} channel-"
-              f"readings across {metrics['jobs']['done']} job(s) and "
-              f"{metrics['open_streams']} open stream(s)")
+        readings = _series_total(metrics, "repro_serve_readings_total")
+        jobs = _series_total(metrics, "repro_serve_jobs_total",
+                             outcome="done")
+        streams = _series_total(metrics, "repro_serve_streams_open")
+        print(f"served {readings:.0f} channel-readings across "
+              f"{jobs:.0f} job(s) and {streams:.0f} open stream(s)")
 
 
 if __name__ == "__main__":

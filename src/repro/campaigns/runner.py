@@ -112,7 +112,7 @@ def _run_shard_scenario(scenario):
     is exactly ``run_scenario(scenario)``.  With the recorder enabled,
     the shard runs under its own private
     :class:`~repro.telemetry.InMemoryRecorder` (so spans from
-    concurrent shards in one process never mix), whose events are
+    concurrent shards in one process never mix), whose spans are
     replayed into the process recorder afterwards — the JSONL trace
     named by ``REPRO_TELEMETRY_TRACE`` still sees everything.  With
     metrics enabled (``REPRO_METRICS=1``), the shard likewise runs
@@ -122,7 +122,7 @@ def _run_shard_scenario(scenario):
 
     Returns:
         ``(result, span_payload, metrics_snapshot)`` —
-        ``span_payload`` is the shard's span summary + counters dict,
+        ``span_payload`` is ``{"summary": <the shard's span summary>}``,
         ``metrics_snapshot`` the shard's registry snapshot (each None
         when its layer is disabled).
     """
@@ -154,15 +154,12 @@ def _run_shard_scenario(scenario):
             set_recorder(parent)
             for record in shard_recorder.spans:
                 parent.record_span(record)
-            for name, value in shard_recorder.counters.items():
-                parent.count(name, value)
         if shard_registry is not None:
             set_metrics_registry(parent_registry)
             parent_registry.merge_snapshot(shard_registry.snapshot())
     span_payload = metrics_snapshot = None
     if shard_recorder is not None:
-        span_payload = {"summary": shard_recorder.summary(),
-                        "counters": shard_recorder.counters}
+        span_payload = {"summary": shard_recorder.summary()}
     if shard_registry is not None:
         metrics_snapshot = shard_registry.snapshot()
     return result, span_payload, metrics_snapshot

@@ -53,8 +53,8 @@ Under all of them sits one execution core (:mod:`repro.engine.core`):
 each workload is a registered :class:`~repro.engine.core.KernelSet`
 whose declarative plan compiles to a segment/chunk
 :class:`~repro.engine.core.ExecutionPlan`, and the shared executor
-threads carry state through the chunk loop.  The historical
-``run_*_scalar`` quartet is deprecated in favour of
+threads carry state through the chunk loop.  Every workload's
+per-element scalar reference runs through
 :func:`repro.engine.core.run_scalar`.
 """
 
@@ -68,7 +68,7 @@ from repro.engine.measure import (
     measure_amperometric_batch,
     measure_voltammetric_batch,
 )
-from repro.engine.runner import run_batch, run_batch_scalar
+from repro.engine.runner import run_batch
 from repro.engine.calibrate import (
     calibration_plan,
     calibration_result_from_batch,
@@ -85,19 +85,16 @@ from repro.engine.monitor import (
     glucose_cohort,
     reading_noise_sigma_a,
     run_monitor,
-    run_monitor_scalar,
 )
 from repro.engine.therapy import (
     TherapyPlan,
     TherapyResult,
     run_therapy,
-    run_therapy_scalar,
 )
 from repro.engine.estimation import (
     EstimationPlan,
     EstimationResult,
     run_estimation,
-    run_estimation_scalar,
 )
 from repro.engine.core import (
     kernels_for,
@@ -126,21 +123,17 @@ __all__ = [
     "glucose_cohort",
     "reading_noise_sigma_a",
     "run_monitor",
-    "run_monitor_scalar",
     "therapy",
     "TherapyPlan",
     "TherapyResult",
     "run_therapy",
-    "run_therapy_scalar",
     "estimation",
     "EstimationPlan",
     "EstimationResult",
     "run_estimation",
-    "run_estimation_scalar",
     "measure_amperometric_batch",
     "measure_voltammetric_batch",
     "run_batch",
-    "run_batch_scalar",
     "calibration_plan",
     "calibration_result_from_batch",
     "run_calibration_batch",

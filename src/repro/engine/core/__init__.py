@@ -15,8 +15,8 @@ harness (:mod:`~repro.engine.core.bench`).
 Entry points:
 
 * :func:`run_workload` — vectorized path for any registered workload.
-* :func:`run_scalar` — the per-element scalar reference, replacing the
-  historical ``run_*_scalar`` quartet.
+* :func:`run_scalar` — the per-element scalar reference of any
+  registered workload.
 
 Adding a fifth workload means writing a kernel set and registering it —
 not a fifth engine.  See ``docs/architecture.md``.

@@ -6,15 +6,14 @@ environment (relaxed in CI, strict locally).  This module owns the
 mechanics all four used to copy-paste:
 
 * :func:`best_of` — min-of-N wall-clock timing.
-* :func:`floor_from_env` — resolve a workload's speedup floor.
+* :func:`floor_from_env` — resolve a speedup floor.
 * :func:`measure_speedup` — warm, time both sides, return the JSON
   payload (``scalar_wall_s`` / ``batch_wall_s`` / ``speedup`` /
-  ``speedup_floor`` plus workload-specific extras) written to
-  ``BENCH_<record>.json``.
+  ``speedup_floor`` plus workload-specific extras).
 
 ``benchmarks/bench_core.py`` drives this harness over every registered
-workload in one loop and additionally emits the unified
-``BENCH_core.json`` record.
+workload in one loop and writes the payloads, keyed by workload, to
+the single ``BENCH_core.json`` record.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _timed(fn) -> float:
 
 
 def floor_from_env(env_var: str, default: float = 5.0) -> float:
-    """Speedup floor for one workload, from ``env_var`` or ``default``.
+    """Speedup floor from ``env_var``, or ``default`` when unset.
 
     Local runs keep the strict acceptance floor; CI exports relaxed
     values because shared runners add timing noise.
@@ -62,7 +61,8 @@ def measure_speedup(fast, slow, floor: float, extras=None,
             fills lazy caches so the timed runs compare steady state).
 
     Returns:
-        The JSON-serializable payload for ``BENCH_<record>.json``.
+        The JSON-serializable payload (one workload's entry in
+        ``BENCH_core.json``).
     """
     if warm:
         fast()

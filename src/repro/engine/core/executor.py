@@ -24,16 +24,16 @@ layers, each with its own on/off switch:
 
 * **Spans** (:func:`repro.telemetry.get_recorder` enabled): per-phase
   spans (``core.compile`` / ``core.init_state`` / ``core.segment`` /
-  ``core.run_chunk`` / ``core.finalize``), a ``core.samples``
-  cells-times-samples throughput counter, and the kernel set's optional
-  :meth:`~repro.engine.core.kernelset.KernelSet.describe_metrics`
-  counters.
+  ``core.run_chunk`` / ``core.finalize``).
 * **Metrics** (:func:`repro.telemetry.get_metrics_registry` enabled):
   per-workload ``repro_core_execute_seconds`` and
-  ``repro_core_chunk_seconds`` latency histograms plus
+  ``repro_core_chunk_seconds`` latency histograms,
   ``repro_core_chunks_total`` / ``repro_core_samples_total`` throughput
-  counters — the fleet-aggregable view ``campaign report`` and the
-  serve front door expose.
+  counters, and the kernel set's optional
+  :meth:`~repro.engine.core.kernelset.KernelSet.describe_metrics`
+  values as ``repro_core_kernel_events_total{workload,event}`` — the
+  fleet-aggregable view ``campaign report`` and the serve front door
+  expose.
 
 When both are disabled — the default — :func:`execute` takes a branch
 that never touches telemetry at all, so the hot loop is byte-for-byte
@@ -117,8 +117,19 @@ def _core_instruments(registry, workload: str):
     )
 
 
+def _count_kernel_events(registry, kernels: KernelSet, plan,
+                         result) -> None:
+    """Add the kernel set's ``describe_metrics`` values to the registry."""
+    events = registry.counter(
+        "repro_core_kernel_events_total",
+        "Workload-specific events per finished run (recalibrations, "
+        "doses, ...), by workload and event.", ("workload", "event"))
+    for event, value in kernels.describe_metrics(plan, result).items():
+        events.labels(workload=kernels.name, event=event).inc(value)
+
+
 def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
-    """The same loop with spans, counters and metrics around every phase."""
+    """The same loop with spans and metrics around every phase."""
     workload = kernels.name
     metrics_on = registry.enabled
     if metrics_on:
@@ -145,9 +156,6 @@ def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
                                        segment=segment.index):
                         kernels.run_chunk(plan, state, segment, start,
                                           stop)
-                    recorder.count("core.chunks")
-                    recorder.count("core.samples",
-                                   n_channels * (stop - start))
                     if metrics_on:
                         chunk_seconds.observe(
                             time.perf_counter() - chunk_start)
@@ -158,6 +166,5 @@ def _execute_instrumented(kernels: KernelSet, plan, recorder, registry):
             result = kernels.finalize(plan, state)
     if metrics_on:
         execute_seconds.observe(time.perf_counter() - execute_start)
-    for metric, value in kernels.describe_metrics(plan, result).items():
-        recorder.count(f"{workload}.{metric}", float(value))
+        _count_kernel_events(registry, kernels, plan, result)
     return result

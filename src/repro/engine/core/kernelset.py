@@ -63,10 +63,6 @@ class KernelSet(abc.ABC):
     Class attributes:
         name: registry key (``"calibration"``, ``"monitor"``, ...).
         plan_type: the declarative plan dataclass this set compiles.
-        bench_record: stem of the per-workload benchmark record the
-            shared harness writes (``BENCH_<bench_record>.json``).
-        floor_env: environment variable holding this workload's
-            speedup floor (read by the shared bench harness).
         snapshot_version: version stamp of this kernel set's snapshot
             content (``None`` — the default — means the workload does
             not support suspend/resume; see the snapshot surface
@@ -75,8 +71,6 @@ class KernelSet(abc.ABC):
 
     name: ClassVar[str]
     plan_type: ClassVar[type]
-    bench_record: ClassVar[str]
-    floor_env: ClassVar[str]
     snapshot_version: ClassVar["int | None"] = None
 
     # -- execution surface -------------------------------------------------
@@ -152,14 +146,16 @@ class KernelSet(abc.ABC):
     # -- telemetry surface -------------------------------------------------
 
     def describe_metrics(self, plan, result) -> "dict[str, float]":
-        """Workload-specific telemetry counters for one finished run.
+        """Workload-specific event counts for one finished run.
 
-        Called by the executor *only when telemetry is enabled*, after
-        ``finalize``; each ``{metric: value}`` entry lands on the active
-        recorder as the counter ``<workload>.<metric>`` (e.g.
-        ``monitor.recalibrations``).  Values must be plain numbers.
-        The default is no workload-specific counters — the core's
-        spans and throughput counters still apply.
+        Called by the executor *only when a metrics registry is
+        enabled*, after ``finalize``; each ``{event: value}`` entry is
+        added to the counter
+        ``repro_core_kernel_events_total{workload, event}`` (e.g.
+        ``workload="monitor", event="recalibrations"``).  Values must
+        be non-negative plain numbers.  The default is no
+        workload-specific events — the core's spans, latency
+        histograms and throughput counters still apply.
         """
         return {}
 

@@ -81,11 +81,5 @@ def run_workload(workload: str, plan):
 
 
 def run_scalar(workload: str, plan):
-    """Run ``plan`` through the named workload's scalar reference.
-
-    Replaces the historical ``run_batch_scalar`` /
-    ``run_monitor_scalar`` / ``run_therapy_scalar`` /
-    ``run_estimation_scalar`` quartet; those names remain as
-    ``DeprecationWarning`` aliases of this entry point.
-    """
+    """Run ``plan`` through the named workload's scalar reference."""
     return kernels_for(workload).run_scalar(plan)

@@ -41,7 +41,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -691,18 +690,6 @@ def _finalize_monitor(plan: MonitorPlan,
     )
 
 
-def run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
-    """Deprecated alias of ``run_scalar("monitor", plan)``.
-
-    The scalar reference now lives on the registered kernel set; use
-    :func:`repro.engine.core.run_scalar` instead.
-    """
-    warnings.warn(
-        "run_monitor_scalar() is deprecated; use "
-        "repro.engine.core.run_scalar('monitor', plan)",
-        DeprecationWarning, stacklevel=2)
-    return _run_monitor_scalar(plan)
-
 
 def _run_monitor_scalar(plan: MonitorPlan) -> MonitorResult:
     """Day-by-day scalar reference: one channel, one sample at a time.
@@ -907,8 +894,6 @@ class MonitorKernels(KernelSet):
 
     name = "monitor"
     plan_type = MonitorPlan
-    bench_record = "monitor"
-    floor_env = "MONITOR_SPEEDUP_FLOOR"
     snapshot_version = 1
 
     def compile(self, plan: MonitorPlan):
@@ -1034,14 +1019,14 @@ class MonitorKernels(KernelSet):
 
     def describe_metrics(self, plan: MonitorPlan,
                          result: MonitorResult) -> dict:
-        """Monitoring health counters: recalibrations fired, readings
-        taken, and TIA-rail-censored samples (readings pinned at a rail
-        carry no amplitude information — the estimation layer treats
-        them as missing).  The censoring count needs the current trace,
-        so it is only reported when ``plan.keep_traces``."""
+        """Monitoring health counters: recalibrations fired and
+        TIA-rail-censored samples (readings pinned at a rail carry no
+        amplitude information — the estimation layer treats them as
+        missing).  The censoring count needs the current trace, so it
+        is only reported when ``plan.keep_traces``.  Readings taken are
+        ``repro_core_samples_total``, which the executor counts."""
         metrics = {
             "recalibrations": int(np.sum(result.n_recalibrations)),
-            "readings": plan.n_channels * plan.n_samples,
         }
         if result.measured_current_a is not None:
             from repro.inference.observation import rail_censored_mask

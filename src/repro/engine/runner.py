@@ -14,7 +14,6 @@ time through the same generators.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,18 +46,6 @@ def run_batch(plan: BatchPlan) -> BatchResult:
     """
     return execute(CALIBRATION_KERNELS, plan)
 
-
-def run_batch_scalar(plan: BatchPlan) -> BatchResult:
-    """Deprecated alias of ``run_scalar("calibration", plan)``.
-
-    The scalar reference now lives on the registered kernel set; use
-    :func:`repro.engine.core.run_scalar` instead.
-    """
-    warnings.warn(
-        "run_batch_scalar() is deprecated; use "
-        "repro.engine.core.run_scalar('calibration', plan)",
-        DeprecationWarning, stacklevel=2)
-    return _run_batch_scalar(plan)
 
 
 def _measure_cells(plan: BatchPlan, sensor, concentrations, cell_rngs):
@@ -119,8 +106,6 @@ class CalibrationKernels(KernelSet):
 
     name = "calibration"
     plan_type = BatchPlan
-    bench_record = "engine"
-    floor_env = "ENGINE_SPEEDUP_FLOOR"
 
     def compile(self, plan: BatchPlan):
         """One segment per sensor over its half-open flat-cell span."""

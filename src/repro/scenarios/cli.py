@@ -19,8 +19,10 @@ One executable front door for every registered workload::
 ``run`` prints the workload's summary and, with ``--out``, writes the
 replayable artifact — the seed-resolved scenario envelope plus the full
 result export — as JSON.  ``--telemetry`` (or ``REPRO_TELEMETRY=1``)
-records executor spans and counters, printing the per-span summary
-after the run; ``--trace-out`` streams the events to a JSONL file and
+records executor spans and metrics, printing the per-span summary and
+the metrics snapshot (throughput counters, chunk latency histograms,
+the workload's kernel events such as monitor recalibrations) after the
+run; ``--trace-out`` streams the spans to a JSONL file and
 ``--perfetto-out`` writes a flame-graph trace the Perfetto UI opens
 directly.  The global ``--log-level`` / ``-v`` flags configure the
 single ``repro`` stdlib logger (worker progress, resume decisions).
@@ -94,37 +96,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telemetry_on = (args.telemetry or args.trace_out is not None
                     or args.perfetto_out is not None
                     or telemetry_env_enabled())
-    recorder = previous = None
+    recorder = registry = None
     if telemetry_on:
         from repro.telemetry import (
             InMemoryRecorder,
             JsonlSink,
+            MetricsRegistry,
+            set_metrics_registry,
             set_recorder,
         )
 
         sinks = ([JsonlSink(args.trace_out)]
                  if args.trace_out is not None else [])
         recorder = InMemoryRecorder(sinks=sinks)
+        registry = MetricsRegistry()
         previous = set_recorder(recorder)
+        previous_registry = set_metrics_registry(registry)
     try:
         result = run_scenario(scenario, scalar=args.scalar)
     finally:
         if recorder is not None:
-            from repro.telemetry import set_recorder
-
             set_recorder(previous)
+            set_metrics_registry(previous_registry)
             recorder.close()
     run = ScenarioRun(scenario=scenario, result=result)
     print(run.summary())
     if recorder is not None:
+        from repro.telemetry import render_snapshot, write_perfetto
+
         print(recorder.render_summary())
+        print(render_snapshot(registry.snapshot()))
         if args.trace_out is not None:
             print(f"trace -> {args.trace_out}")
         if args.perfetto_out is not None:
-            from repro.telemetry import write_perfetto
-
-            path = write_perfetto(args.perfetto_out, recorder.spans,
-                                  counters=recorder.counters)
+            path = write_perfetto(args.perfetto_out, recorder.spans)
             print(f"perfetto trace -> {path}")
     if args.out is not None:
         payload = run.to_dict(include_traces=args.traces)
@@ -234,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--traces", action="store_true",
                        help="include full per-sample traces in --out")
     run_p.add_argument("--telemetry", action="store_true",
-                       help="record executor spans/counters and print "
-                            "the telemetry summary after the run")
+                       help="record executor spans and metrics and "
+                            "print both summaries after the run")
     run_p.add_argument("--trace-out", type=Path, default=None,
-                       help="stream telemetry events to this JSONL "
+                       help="stream spans to this JSONL "
                             "file (implies --telemetry)")
     run_p.add_argument("--perfetto-out", type=Path, default=None,
                        help="write a Chrome/Perfetto trace_event JSON "

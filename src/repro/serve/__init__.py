@@ -14,9 +14,9 @@ like right now, one reading at a time.  Two layers:
 * **Front door** (:mod:`repro.serve.server`) — a stdlib-only asyncio
   HTTP server (``python -m repro serve``): submit scenarios to a
   bounded work queue, poll status, fetch results, and push readings to
-  live streams; health and throughput counters flow through
-  :mod:`repro.telemetry`.  :mod:`repro.serve.client` is the matching
-  stdlib client.
+  live streams; health and throughput counters live in one
+  :mod:`repro.telemetry.metrics` registry.  :mod:`repro.serve.client`
+  is the matching stdlib client.
 
 Guide: ``docs/serving.md``.  Gates: streaming-vs-batch identity in
 ``tests/serve/``, >= 1000 readings/s/channel steady-state throughput

@@ -2,10 +2,10 @@
 
 Thin argparse glue between the scenario CLI and
 :class:`repro.serve.server.ReproServer`; mirrors the ``run`` command's
-telemetry flags so a serving process records ``serve.*`` spans and
-counters next to the engine's own (``--telemetry``, ``--trace-out``,
-``--perfetto-out``) — the CI smoke job uploads the JSONL trace as an
-artifact.
+telemetry flags so a serving process records ``serve.*`` spans next to
+the engine's own (``--telemetry``, ``--trace-out``, ``--perfetto-out``)
+and prints its metrics registry snapshot at shutdown — the CI smoke
+job uploads the JSONL trace as an artifact.
 """
 
 from __future__ import annotations
@@ -73,14 +73,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             set_recorder(previous)
             recorder.close()
             print(recorder.render_summary())
+            if server.registry is not None:
+                from repro.telemetry import render_snapshot
+
+                print(render_snapshot(server.registry.snapshot()))
             if args.trace_out is not None:
                 print(f"trace -> {args.trace_out}")
             if args.perfetto_out is not None:
                 from repro.telemetry import write_perfetto
 
                 path = write_perfetto(args.perfetto_out,
-                                      recorder.spans,
-                                      counters=recorder.counters)
+                                      recorder.spans)
                 print(f"perfetto trace -> {path}")
     return 0
 
@@ -105,9 +108,10 @@ def add_serve_command(sub: "argparse._SubParsersAction") -> None:
                               "(default: 2)")
     serve_p.add_argument("--telemetry", action="store_true",
                          help="record serve.* and engine spans; print "
-                              "the summary on shutdown")
+                              "the span summary and metrics snapshot "
+                              "on shutdown")
     serve_p.add_argument("--trace-out", type=Path, default=None,
-                         help="stream telemetry events to this JSONL "
+                         help="stream spans to this JSONL "
                               "file (implies --telemetry)")
     serve_p.add_argument("--perfetto-out", type=Path, default=None,
                          help="write a Perfetto flame graph on "

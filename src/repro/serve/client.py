@@ -86,7 +86,13 @@ class ServeClient:
         return self._request("GET", "/workloads")["workloads"]
 
     def metrics(self) -> dict:
-        """``GET /metrics`` — counters, queue depth, live gauges."""
+        """``GET /metrics`` — the server's metrics registry snapshot.
+
+        The schema-versioned payload of
+        :meth:`repro.telemetry.MetricsRegistry.snapshot`: render it
+        with :func:`repro.telemetry.render_snapshot` or save it for
+        ``python -m repro telemetry summary``.
+        """
         return self._request("GET", "/metrics")
 
     def metrics_prometheus(self) -> str:

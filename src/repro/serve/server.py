@@ -22,17 +22,18 @@ Observability is first-class.  The server meters itself through
 latency histograms, error counters by status class, per-workload
 in-flight gauges, queue depth, stream/readings throughput, plus
 periodic runtime collectors (RSS, GC counts, event-loop lag) — and
-exposes them two ways on ``GET /metrics``: the legacy JSON payload
-(counters derived from the same registry series) and Prometheus text
-exposition format 0.0.4 on ``GET /metrics?format=prometheus``.  Every
-request is assigned a ``trace_id`` at the front door
-(:func:`repro.telemetry.trace_context`, echoed back as an
-``X-Trace-Id`` header): the request's spans carry it into the JSONL
-trace, its latency observation stamps it as the histogram exemplar,
-and a job inherits its submitting request's id — so a slow bucket in
-the histogram leads straight to one request's Perfetto timeline.
-Recorder mirroring is unchanged: every counter also lands on the
-active :mod:`repro.telemetry` recorder as ``serve.*``.
+exposes the one registry two ways on ``GET /metrics``: its
+schema-versioned JSON snapshot (the format ``python -m repro telemetry
+summary`` renders) and Prometheus text exposition format 0.0.4 on
+``GET /metrics?format=prometheus``.  Every request is assigned a
+``trace_id`` at the front door (:func:`repro.telemetry.trace_context`,
+echoed back as an ``X-Trace-Id`` header): the request's spans carry it
+into the JSONL trace, its latency observation stamps it as the
+histogram exemplar, and a job inherits its submitting request's id —
+so a slow bucket in the histogram leads straight to one request's
+Perfetto timeline.  The active :mod:`repro.telemetry` recorder only
+ever sees spans (``serve.request``, ``serve.job``, ``serve.advance``);
+every count lives in the registry.
 
 Endpoint reference: ``docs/serving.md``.  Run it with
 ``python -m repro serve``; tests drive an in-process
@@ -309,11 +310,6 @@ class ReproServer:
         }
 
     @staticmethod
-    def _mirror(key: str, value: float = 1) -> None:
-        """Mirror one counter to the active telemetry recorder."""
-        get_recorder().count(f"serve.{key}", value)
-
-    @staticmethod
     def _endpoint_pattern(path: str) -> str:
         """Normalize a path to its route pattern (ids become ``*``)."""
         parts = [part for part in path.split("/") if part]
@@ -323,9 +319,8 @@ class ReproServer:
 
     def _account_request(self, method: str, path: str, status: int,
                          elapsed_s: float) -> None:
-        """Record one finished request on every metrics surface."""
+        """Record one finished request's count and latency."""
         endpoint = self._endpoint_pattern(path)
-        self._mirror(f"requests.{method} {endpoint}")
         self._m["requests"].labels(
             method=method, endpoint=endpoint,
             code_class=f"{status // 100}xx").inc()
@@ -337,45 +332,14 @@ class ReproServer:
         return f"{prefix}-{self._counter:04d}"
 
     def metrics(self) -> dict:
-        """The ``GET /metrics`` JSON payload: counters plus live gauges.
+        """The ``GET /metrics`` JSON payload: the registry's snapshot.
 
-        The flat ``counters`` dict is *derived* from the registry's
-        instrument series (summed over status class where the legacy
-        key did not distinguish), so the JSON and Prometheus views of
-        the same server always agree.
+        Runtime gauges (RSS, GC, queue depth, open streams) are
+        refreshed first, so the snapshot is as current as a Prometheus
+        scrape of the same server.
         """
-        counters: "dict[str, int]" = {}
-        if self._m is not None:
-            for labels, series in self._m["requests"].items():
-                key = (f"requests.{labels['method']} "
-                       f"{labels['endpoint']}")
-                counters[key] = counters.get(key, 0) + int(series.value)
-            for labels, series in self._m["jobs"].items():
-                key = ("jobs.rejected"
-                       if labels["outcome"] == "rejected"
-                       else f"jobs.{labels['outcome']}."
-                            f"{labels['workload']}")
-                counters[key] = counters.get(key, 0) + int(series.value)
-            for labels, series in self._m["streams_opened"].items():
-                counters[f"streams.opened.{labels['workload']}"] = \
-                    int(series.value)
-            closed = self._m["streams_closed"].value
-            if closed:
-                counters["streams.closed"] = int(closed)
-            readings = sum(series.value for __, series
-                           in self._m["readings"].items())
-            if readings:
-                counters["readings.pushed"] = int(readings)
-        return {
-            "counters": dict(sorted(counters.items())),
-            "queue_depth": (self._queue.qsize()
-                            if self._queue is not None else 0),
-            "jobs": {status: sum(1 for job in self._jobs.values()
-                                 if job.status == status)
-                     for status in ("queued", "running", "done",
-                                    "failed")},
-            "open_streams": len(self._streams),
-        }
+        self._collect_runtime()
+        return self.registry.snapshot()
 
     # -- runtime collectors ----------------------------------------------
 
@@ -436,14 +400,12 @@ class ReproServer:
                                 self._pool, context.run, run_scenario,
                                 job.scenario)
                             job.status = "done"
-                            self._mirror(f"jobs.done.{workload}")
                             self._m["jobs"].labels(
                                 workload=workload, outcome="done").inc()
                         except Exception as error:
                             job.status = "failed"
                             job.error = (f"{type(error).__name__}: "
                                          f"{error}")
-                            self._mirror(f"jobs.failed.{workload}")
                             self._m["jobs"].labels(
                                 workload=workload,
                                 outcome="failed").inc()
@@ -626,14 +588,12 @@ class ReproServer:
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
-            self._mirror("jobs.rejected")
             self._m["jobs"].labels(workload=scenario.workload,
                                    outcome="rejected").inc()
             raise _HttpError(
                 503, f"work queue full ({self.queue_size} jobs); "
                      f"retry later")
         self._jobs[job.job_id] = job
-        self._mirror(f"jobs.submitted.{scenario.workload}")
         self._m["jobs"].labels(workload=scenario.workload,
                                outcome="submitted").inc()
         self._m["queue_depth"].set(self._queue.qsize())
@@ -671,7 +631,6 @@ class ReproServer:
         stream = _Stream(stream_id=self._next_id("stream"),
                          scenario=scenario, session=session)
         self._streams[stream.stream_id] = stream
-        self._mirror(f"streams.opened.{scenario.workload}")
         self._m["streams_opened"].labels(
             workload=scenario.workload).inc()
         self._m["streams_open"].set(len(self._streams))
@@ -686,7 +645,6 @@ class ReproServer:
         if not rest:
             if method == "DELETE":
                 del self._streams[stream_id]
-                self._mirror("streams.closed")
                 self._m["streams_closed"].inc()
                 self._m["streams_open"].set(len(self._streams))
                 return 200, {"stream_id": stream_id,
@@ -737,7 +695,6 @@ class ReproServer:
                     self._pool, context.run, stream.session.advance,
                     count)
             pushed = update.n_samples * stream.session.n_channels
-            self._mirror("readings.pushed", pushed)
             self._m["readings"].labels(
                 workload=stream.session.workload).inc(pushed)
             return 200, {

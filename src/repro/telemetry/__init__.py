@@ -1,11 +1,14 @@
-"""Telemetry: spans, counters, metrics, and trace export for every layer.
+"""Telemetry: spans, metrics, and trace export for every layer.
 
 The observability subsystem the execution core, the serve front door,
-the campaign runner and the CLI all share.  Five small modules:
+the campaign runner and the CLI all share.  One model, two homes: a
+span (a timed stretch of work) lives in the recorder, and every
+counter, gauge and histogram lives in the metrics registry — no
+quantity is recorded twice.  Five small modules:
 
-* :mod:`~repro.telemetry.recorder` — the instrumentation API:
-  ``span()`` context managers, monotonic counters, gauges, the
-  process-local active recorder, and trace correlation
+* :mod:`~repro.telemetry.recorder` — the tracing API: ``span()``
+  context managers, the process-local active recorder, and trace
+  correlation
   (:func:`new_trace_id` / :func:`trace_context` /
   :func:`current_trace_id`).  **Disabled is a strict no-op**: the
   default :data:`NULL_RECORDER` allocates nothing, and hot paths branch
@@ -22,8 +25,8 @@ the campaign runner and the CLI all share.  Five small modules:
   ``REPRO_METRICS=1`` or :func:`set_metrics_registry`, gated <= 3 %
   enabled overhead on the executor.
 * :mod:`~repro.telemetry.aggregate` — :class:`InMemoryRecorder`, the
-  enabled recorder: keeps every span, accumulates counters, renders
-  ``summary()`` (count / total / p50 / p95 per span name).
+  enabled recorder: keeps every span and renders ``summary()``
+  (count / total / p50 / p95 per span name).
 * :mod:`~repro.telemetry.sinks` — :class:`JsonlSink`, the streaming
   JSONL trace writer (and :func:`read_jsonl` to load traces back).
 * :mod:`~repro.telemetry.perfetto` — the Chrome/Perfetto
@@ -98,9 +101,7 @@ from repro.telemetry.recorder import (
     Recorder,
     SpanRecord,
     TRACE_ENV,
-    count,
     current_trace_id,
-    gauge,
     get_recorder,
     new_trace_id,
     recorder_from_env,
@@ -133,11 +134,9 @@ __all__ = [
     "SpanRecord",
     "TRACE_ENV",
     "complete_event",
-    "count",
     "current_trace_id",
     "exponential_buckets",
     "format_metric_value",
-    "gauge",
     "gc_collection_counts",
     "get_metrics_registry",
     "get_recorder",

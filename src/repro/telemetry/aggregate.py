@@ -1,18 +1,18 @@
-"""The in-memory aggregator: spans and counters a process can report on.
+"""The in-memory aggregator: the spans a process can report on.
 
 :class:`InMemoryRecorder` is the enabled recorder everything else
 composes with: it keeps every completed :class:`~repro.telemetry.SpanRecord`,
-accumulates counters and gauges, forwards each event to any attached
-sinks (JSONL trace files), and renders the per-span-name statistics —
-count / total / p50 / p95 — that ``python -m repro run --telemetry``
-prints and campaign workers embed in their shard rows.
+forwards each one to any attached sinks (JSONL trace files), and
+renders the per-span-name statistics — count / total / p50 / p95 —
+that ``python -m repro run --telemetry`` prints and campaign workers
+embed in their shard rows.  Counters and gauges are not kept here;
+they live in :mod:`repro.telemetry.metrics`.
 
-The aggregation here is process-local but thread-safe: the recorder
-hooks serialize on one lock (covering both the in-memory aggregates
-and the sink fan-out), so the serve thread pool can record spans and
-counters concurrently without torn lines or lost increments.
-Cross-process aggregation is the campaign store's job
-(:mod:`repro.campaigns.report`).
+The aggregation here is process-local but thread-safe: the span hook
+serializes on one lock (covering both the span list and the sink
+fan-out), so the serve thread pool can record spans concurrently
+without torn lines or lost records.  Cross-process aggregation is the
+campaign store's job (:mod:`repro.campaigns.report`).
 """
 
 from __future__ import annotations
@@ -75,20 +75,18 @@ class InMemoryRecorder(Recorder):
 
     Args:
         sinks: objects with ``emit(event: dict)`` / ``close()`` (e.g.
-            :class:`~repro.telemetry.JsonlSink`); every span, counter
-            and gauge event is forwarded as it is recorded.
+            :class:`~repro.telemetry.JsonlSink`); every span is
+            forwarded as it is recorded.
     """
 
     enabled = True
 
     def __init__(self, sinks: Iterable = ()) -> None:
-        """Start with empty aggregates and the given sinks."""
+        """Start with no spans and the given sinks."""
         super().__init__()
         self.spans: list[SpanRecord] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self._sinks = list(sinks)
-        # One lock covers aggregate mutation AND sink emission so a
+        # One lock covers the span append AND sink emission so a
         # span's append and its JSONL line stay in the same order
         # across threads (the serve pool records concurrently).
         self._hook_lock = threading.Lock()
@@ -100,27 +98,9 @@ class InMemoryRecorder(Recorder):
         with self._hook_lock:
             self.spans.append(record)
             if self._sinks:
-                self._emit(record.to_event())
-
-    def _on_count(self, name: str, value: float) -> None:
-        """Accumulate the counter and forward the increment event."""
-        with self._hook_lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-            if self._sinks:
-                self._emit({"type": "counter", "name": name,
-                            "value": value})
-
-    def _on_gauge(self, name: str, value: float) -> None:
-        """Latest-wins gauge update, forwarded to every sink."""
-        with self._hook_lock:
-            self.gauges[name] = value
-            if self._sinks:
-                self._emit({"type": "gauge", "name": name,
-                            "value": value})
-
-    def _emit(self, event: dict) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
+                event = record.to_event()
+                for sink in self._sinks:
+                    sink.emit(event)
 
     def close(self) -> None:
         """Close every attached sink (flushes JSONL trace files)."""
@@ -136,7 +116,7 @@ class InMemoryRecorder(Recorder):
         return summarize_spans(self.spans)
 
     def render_summary(self) -> str:
-        """The summary plus counters/gauges as an aligned text block."""
+        """The span summary as an aligned text block."""
         lines = ["telemetry summary"]
         stats = self.summary()
         if stats:
@@ -150,19 +130,14 @@ class InMemoryRecorder(Recorder):
                     f"{row['p95_s'] * 1e3:>8.2f}ms")
         else:
             lines.append("  (no spans recorded)")
-        for label, table in (("counter", self.counters),
-                             ("gauge", self.gauges)):
-            for name in sorted(table):
-                lines.append(f"  {label} {name} = {table[name]:g}")
         return "\n".join(lines)
 
     def write_jsonl(self, path: "str | Path") -> Path:
-        """Dump everything recorded so far as a JSONL trace file.
+        """Dump every span recorded so far as a JSONL trace file.
 
-        One JSON object per line: every span (in completion order),
-        then final counter totals and gauge values.  Equivalent to the
-        stream a live :class:`~repro.telemetry.JsonlSink` would have
-        captured, for recorders that aggregated first.
+        One JSON object per line, in completion order: the stream a
+        live :class:`~repro.telemetry.JsonlSink` would have captured,
+        for recorders that aggregated first.
         """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -170,14 +145,6 @@ class InMemoryRecorder(Recorder):
             for record in self.spans:
                 handle.write(json.dumps(record.to_event(),
                                         sort_keys=True) + "\n")
-            for name in sorted(self.counters):
-                handle.write(json.dumps(
-                    {"type": "counter", "name": name,
-                     "value": self.counters[name]}, sort_keys=True) + "\n")
-            for name in sorted(self.gauges):
-                handle.write(json.dumps(
-                    {"type": "gauge", "name": name,
-                     "value": self.gauges[name]}, sort_keys=True) + "\n")
         return target
 
     def to_perfetto(self) -> dict:

@@ -83,15 +83,12 @@ def span_trace_events(spans: Iterable[SpanRecord], pid: int = 1,
 
 
 def perfetto_json(spans: Iterable[SpanRecord],
-                  process_name: str = "repro",
-                  counters: dict | None = None) -> dict:
+                  process_name: str = "repro") -> dict:
     """The full Perfetto-loadable trace object for one process's spans.
 
     Args:
         spans: completed :class:`~repro.telemetry.SpanRecord` entries.
         process_name: label for the single process track.
-        counters: optional final counter totals, attached as the
-            ``otherData`` payload (visible in the UI's trace info).
 
     Returns:
         ``{"traceEvents": [...], "displayTimeUnit": "ms", ...}`` —
@@ -100,21 +97,15 @@ def perfetto_json(spans: Iterable[SpanRecord],
     events = [process_name_event(1, process_name),
               thread_name_event(1, 1, "engine")]
     events += span_trace_events(spans, pid=1, tid=1)
-    trace = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if counters:
-        trace["otherData"] = {name: str(value)
-                              for name, value in sorted(counters.items())}
-    return trace
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_perfetto(path: "str | Path", spans: Iterable[SpanRecord],
-                   process_name: str = "repro",
-                   counters: dict | None = None) -> Path:
+                   process_name: str = "repro") -> Path:
     """Serialize :func:`perfetto_json` to ``path`` and return it."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(
-        perfetto_json(spans, process_name=process_name,
-                      counters=counters),
+        perfetto_json(spans, process_name=process_name),
         indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return target

@@ -1,10 +1,10 @@
-"""The instrumentation primitives: spans, counters, and the active recorder.
+"""The tracing primitives: spans and the active recorder.
 
-Everything the rest of the codebase touches to emit telemetry lives
-here, built around one invariant: **disabled telemetry is a strict
-no-op**.  The default process-local recorder is :data:`NULL_RECORDER`,
-whose ``span()`` hands back one shared, allocation-free context manager
-and whose ``count()``/``gauge()`` bodies are empty — and the hot paths
+The recorder is a spans-only tracer; counters and gauges live in
+:mod:`repro.telemetry.metrics` alone.  Everything here is built around
+one invariant: **disabled tracing is a strict no-op**.  The default
+process-local recorder is :data:`NULL_RECORDER`, whose ``span()`` hands
+back one shared, allocation-free context manager — and the hot paths
 (:func:`repro.engine.core.executor.execute`) additionally branch on
 :attr:`Recorder.enabled` so a disabled run never constructs a single
 telemetry object per chunk (gated by the overhead benchmark in
@@ -15,7 +15,7 @@ Telemetry turns on either programmatically (:func:`set_recorder` with
 an :class:`~repro.telemetry.InMemoryRecorder`) or from the environment:
 ``REPRO_TELEMETRY=1`` makes :func:`get_recorder` build an in-memory
 recorder on first use, and ``REPRO_TELEMETRY_TRACE=/path.jsonl``
-additionally streams every event to a JSONL trace sink
+additionally streams every span to a JSONL trace sink
 (:mod:`repro.telemetry.sinks`).
 
 Span timestamps come from ``time.perf_counter`` — monotonic and
@@ -38,7 +38,7 @@ serve worker thread nests independently), and the shipped recorders
 (:class:`~repro.telemetry.InMemoryRecorder`, with
 :class:`~repro.telemetry.JsonlSink` underneath) serialize their hooks
 with locks, so concurrent spans from a thread pool interleave without
-tearing lines or losing counts.
+tearing lines or losing records.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Any, Iterator, Mapping
 ENABLE_ENV = "REPRO_TELEMETRY"
 
 #: Environment knob: a JSONL file path; when telemetry is enabled the
-#: env-built recorder streams every event there as it is recorded.
+#: env-built recorder streams every span there as it is recorded.
 TRACE_ENV = "REPRO_TELEMETRY_TRACE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -214,12 +214,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class Recorder:
-    """Base recorder: the three instrumentation verbs.
+    """Base recorder: times spans and hands them to ``_on_span``.
 
-    Subclasses override the ``_on_*`` hooks to aggregate or stream the
-    events; callers only ever use :meth:`span`, :meth:`count` and
-    :meth:`gauge` (or the module-level conveniences that dispatch to
-    the active recorder).
+    Subclasses override :meth:`_on_span` to aggregate or stream the
+    completed spans; callers only ever use :meth:`span` (or the
+    module-level :func:`span`, which dispatches to the active
+    recorder) and :meth:`record_span`.
 
     Attributes:
         enabled: hot paths may branch on this once and skip
@@ -247,14 +247,6 @@ class Recorder:
         """A context manager timing ``name`` around its ``with`` body."""
         return _Span(self, name, attrs)
 
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to the monotonic counter ``name``."""
-        self._on_count(name, float(value))
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to its latest ``value``."""
-        self._on_gauge(name, float(value))
-
     def record_span(self, record: SpanRecord) -> None:
         """Feed an externally produced, already-completed span in.
 
@@ -268,20 +260,12 @@ class Recorder:
     def close(self) -> None:
         """Flush/close any attached sinks (default: nothing to do)."""
 
-    # -- subclass hooks ------------------------------------------------
-
     def _on_span(self, record: SpanRecord) -> None:
-        """Receive one completed span (default: drop it)."""
-
-    def _on_count(self, name: str, value: float) -> None:
-        """Receive one counter increment (default: drop it)."""
-
-    def _on_gauge(self, name: str, value: float) -> None:
-        """Receive one gauge update (default: drop it)."""
+        """Subclass hook: receive one completed span (default: drop it)."""
 
 
 class NullRecorder(Recorder):
-    """The disabled recorder: every verb is a strict no-op.
+    """The disabled recorder: ``span()`` is a strict no-op.
 
     ``span()`` returns one shared, slotted context manager, so even
     code that does not branch on :attr:`enabled` pays no allocation
@@ -293,12 +277,6 @@ class NullRecorder(Recorder):
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         """The shared no-op span (no allocation, no timing)."""
         return _NULL_SPAN
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """No-op."""
-
-    def gauge(self, name: str, value: float) -> None:
-        """No-op."""
 
 
 #: The process-wide disabled recorder (the default active recorder).
@@ -362,13 +340,3 @@ def set_recorder(recorder: Recorder | None) -> Recorder | None:
 def span(name: str, **attrs: Any):
     """Module-level convenience: a span on the active recorder."""
     return get_recorder().span(name, **attrs)
-
-
-def count(name: str, value: float = 1.0) -> None:
-    """Module-level convenience: a counter add on the active recorder."""
-    get_recorder().count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Module-level convenience: a gauge set on the active recorder."""
-    get_recorder().gauge(name, value)

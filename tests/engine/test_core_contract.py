@@ -17,7 +17,6 @@ from repro.engine.core import (
     check_scalar_equivalence,
     kernels_for,
     registered_workloads,
-    run_scalar,
     run_workload,
 )
 
@@ -61,34 +60,6 @@ def test_unknown_workload_rejected():
         kernels_for("centrifuge")
 
 
-class TestDeprecatedAliases:
-    """The historical ``run_*_scalar`` names still work, but warn."""
-
-    def _check(self, alias, workload):
-        kernels = kernels_for(workload)
-        plan = kernels.contract_plan()
-        with pytest.warns(DeprecationWarning, match="run_scalar"):
-            aliased = alias(plan)
-        direct = run_scalar(workload, plan)
-        assert type(aliased) is type(direct)
-
-    def test_run_batch_scalar(self):
-        from repro.engine.runner import run_batch_scalar
-        self._check(run_batch_scalar, "calibration")
-
-    def test_run_monitor_scalar(self):
-        from repro.engine.monitor import run_monitor_scalar
-        self._check(run_monitor_scalar, "monitor")
-
-    def test_run_therapy_scalar(self):
-        from repro.engine.therapy import run_therapy_scalar
-        self._check(run_therapy_scalar, "therapy")
-
-    def test_run_estimation_scalar(self):
-        from repro.engine.estimation import run_estimation_scalar
-        self._check(run_estimation_scalar, "estimation")
-
-
 class TestRegistryGuards:
     def test_duplicate_registration_rejected(self):
         kernels = kernels_for("monitor")
@@ -100,3 +71,14 @@ class TestRegistryGuards:
         from repro.engine.core import register_kernels
         kernels = kernels_for("monitor")
         assert register_kernels(kernels, replace=True) is kernels
+
+
+class TestZeroLengthSpan:
+    def test_spans_to_segments_rejects_an_empty_span(self):
+        """An empty ``(start, start)`` span is rejected when the plan
+        compiles, so the executor never sees a segment with no chunks."""
+        from repro.engine.core import spans_to_segments
+
+        with pytest.raises(ValueError, match="non-empty range"):
+            spans_to_segments("calibration", 1,
+                              ((0, 4), (4, 4), (4, 8)), 2)

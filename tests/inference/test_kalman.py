@@ -183,3 +183,64 @@ class TestSmoother:
         assert np.all(np.isfinite(smoothed.m1))
         assert np.all(np.isfinite(smoothed.p11))
         np.testing.assert_array_equal(smoothed.m2, 0.0)
+
+
+class TestInverse2x2:
+    """The smoother's symmetric 2x2 inverse and its diagonal fallback."""
+
+    @staticmethod
+    def invert(p11, p12, p22):
+        from repro.inference.kalman import _inverse_2x2
+
+        return _inverse_2x2(np.array([p11]), np.array([p12]),
+                            np.array([p22]))
+
+    def test_positive_definite_block_is_exact_inverse(self):
+        i11, i12, i22 = self.invert(2.0, 0.5, 1.0)
+        inverse = np.array([[i11[0], i12[0]], [i12[0], i22[0]]])
+        np.testing.assert_allclose(
+            inverse @ np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2),
+            rtol=0.0, atol=1e-15)
+
+    def test_dead_wander_block_falls_back_to_signal(self):
+        i11, i12, i22 = self.invert(4.0, 0.0, 0.0)
+        assert (i11[0], i12[0], i22[0]) == (0.25, 0.0, 0.0)
+
+    def test_both_blocks_dead_give_zeros(self):
+        i11, i12, i22 = self.invert(0.0, 0.0, 0.0)
+        assert (i11[0], i12[0], i22[0]) == (0.0, 0.0, 0.0)
+
+    def test_determinant_rounding_below_zero_uses_diagonal(self):
+        """A numerically rank-1 block whose determinant rounds negative
+        must not produce a negative or infinite "inverse"."""
+        p12 = np.nextafter(1.0, 2.0)
+        assert 1.0 * 1.0 - p12 * p12 < 0.0
+        i11, i12, i22 = self.invert(1.0, p12, 1.0)
+        assert (i11[0], i12[0], i22[0]) == (1.0, 0.0, 1.0)
+
+
+class TestAllCensoredChannel:
+    def test_filter_and_smoother_stay_finite_and_match_scalar(self):
+        """A channel pinned at a rail for its whole record (r = inf on
+        every sample) beside normal channels: the filter only predicts
+        for it, and batch and scalar paths still agree."""
+        _, z, params = simulate(n_channels=3, n_samples=120)
+        r = np.broadcast_to(params["r"][:, None], z.shape).copy()
+        r[1, :] = np.inf
+        params = dict(params, r=r)
+        batch, scalar = run_both(z, params)
+        smoothed = [smoother(trace, params["a_signal"],
+                             params["a_wander"])
+                    for smoother, trace in ((rts_smoother_batch, batch),
+                                            (rts_smoother_scalar,
+                                             scalar))]
+        for name in ("m1", "m2", "p11", "p12", "p22"):
+            for fast, slow in ((batch, scalar), tuple(smoothed)):
+                assert np.all(np.isfinite(getattr(fast, name))), name
+                np.testing.assert_allclose(
+                    getattr(fast, name), getattr(slow, name),
+                    rtol=0.0, atol=1e-9, err_msg=name)
+        # No update ever lands on the censored channel: its mean stays
+        # at the prior while its neighbours track their readings.
+        np.testing.assert_array_equal(batch.m1[1], 0.0)
+        assert np.any(batch.m1[0] != 0.0)

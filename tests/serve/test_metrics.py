@@ -5,8 +5,8 @@ Boots the real server and gates the observability contracts:
 (round-tripped through :func:`~repro.telemetry.parse_prometheus`),
 every response carries an ``X-Trace-Id`` that also lands in the span
 trace and the latency histogram's exemplar, runtime collectors report
-real RSS/GC levels, and the legacy JSON ``/metrics`` payload stays
-derivable from the registry.
+real RSS/GC levels, and the JSON ``/metrics`` payload is the
+registry's own snapshot — the format ``telemetry summary`` renders.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.telemetry import (
     MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
     parse_prometheus,
+    require_snapshot,
     set_recorder,
 )
 
@@ -147,11 +148,22 @@ class TestTraceCorrelation:
 
 class TestLegacyJsonMetrics:
     def test_json_payload_derived_from_registry(self, served):
-        client, __, __ = served
+        client, registry, __ = served
         _run_one_job(client)
         payload = client.metrics()
-        assert payload["counters"]["jobs.submitted.monitor"] == 1
-        assert payload["counters"]["jobs.done.monitor"] == 1
-        assert any(key.startswith("requests.GET ")
-                   for key in payload["counters"])
-        assert payload["queue_depth"] == 0
+        require_snapshot(payload)
+        instruments = payload["instruments"]
+        jobs = {series["labels"]["outcome"]: series["value"]
+                for series in instruments["repro_serve_jobs_total"]["series"]
+                if series["labels"]["workload"] == "monitor"}
+        assert jobs == {"submitted": 1, "done": 1}
+        assert any(series["labels"]["method"] == "GET" for series
+                   in instruments["repro_serve_requests_total"]["series"])
+        (depth,) = instruments["repro_serve_queue_depth"]["series"]
+        assert depth["value"] == 0
+        # The very snapshot the registry holds (runtime gauges refresh
+        # on every scrape, so compare the counter families).
+        snapshot = registry.snapshot()["instruments"]
+        assert instruments["repro_serve_jobs_total"] == \
+            snapshot["repro_serve_jobs_total"]
+        assert "repro_core_kernel_events_total" in instruments

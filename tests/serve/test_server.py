@@ -64,6 +64,13 @@ def max_difference(a, b) -> float:
     return 0.0
 
 
+def series_total(snapshot: dict, name: str, **labels: str) -> float:
+    """Sum of the ``name`` series whose labels include ``labels``."""
+    entry = snapshot["instruments"].get(name, {"series": []})
+    return sum(series["value"] for series in entry["series"]
+               if labels.items() <= series["labels"].items())
+
+
 @pytest.fixture(scope="module")
 def client():
     """One shared server for the whole module, port auto-picked."""
@@ -229,23 +236,27 @@ class TestMetrics:
         job = client.submit(MONITOR_SCENARIO.to_dict())
         client.wait_for_job(job["job_id"])
         metrics = client.metrics()
-        counters = metrics["counters"]
-        assert counters["requests.GET /healthz"] >= 1
-        assert counters["requests.POST /scenarios"] >= 1
-        assert counters["requests.GET /scenarios/*"] >= 1
-        assert counters["jobs.submitted.monitor"] >= 1
-        assert counters["jobs.done.monitor"] >= 1
-        assert metrics["jobs"]["done"] >= 1
+        requests = "repro_serve_requests_total"
+        for method, endpoint in (("GET", "/healthz"),
+                                 ("POST", "/scenarios"),
+                                 ("GET", "/scenarios/*")):
+            assert series_total(metrics, requests, method=method,
+                                endpoint=endpoint) >= 1
+        for outcome in ("submitted", "done"):
+            assert series_total(metrics, "repro_serve_jobs_total",
+                                workload="monitor",
+                                outcome=outcome) >= 1
 
     def test_readings_counter_counts_channel_readings(self, client):
-        before = client.metrics()["counters"].get("readings.pushed", 0)
+        readings = "repro_serve_readings_total"
+        before = series_total(client.metrics(), readings)
         stream = client.create_stream(MONITOR_SCENARIO.to_dict())
         client.push_readings(stream["stream_id"], count=10)
-        after = client.metrics()["counters"]["readings.pushed"]
+        after = series_total(client.metrics(), readings)
         assert after - before == 10 * 2   # 10 samples x 2 channels
         client.delete_stream(stream["stream_id"])
 
-    def test_counters_mirror_into_telemetry_recorder(self, client):
+    def test_recorder_receives_spans_not_counters(self, client):
         from repro.telemetry import InMemoryRecorder, set_recorder
 
         recorder = InMemoryRecorder()
@@ -255,8 +266,7 @@ class TestMetrics:
             client.metrics()
         finally:
             set_recorder(previous)
-        assert recorder.counters.get(
-            "serve.requests.GET /healthz", 0) >= 1
+        assert not hasattr(recorder, "counters")
         names = {record.name for record in recorder.spans}
         assert "serve.request" in names
 
@@ -322,7 +332,9 @@ class TestBackpressure:
                     client.submit(scenario)
                 assert excinfo.value.status == 503
                 assert "queue full" in str(excinfo.value)
-                rejected = client.metrics()["counters"]["jobs.rejected"]
+                rejected = series_total(
+                    client.metrics(), "repro_serve_jobs_total",
+                    outcome="rejected")
                 assert rejected >= 1
                 _SleepyWorkload.release.set()
                 client.wait_for_job(first["job_id"])

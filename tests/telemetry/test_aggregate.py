@@ -56,12 +56,9 @@ class TestSummarize:
         recorder = InMemoryRecorder()
         with recorder.span("core.run_chunk"):
             pass
-        recorder.count("core.samples", 48)
-        recorder.gauge("fill", 0.5)
         text = recorder.render_summary()
         assert "core.run_chunk" in text
-        assert "counter core.samples = 48" in text
-        assert "gauge fill = 0.5" in text
+        assert "counter" not in text and "gauge" not in text
         assert set(recorder.summary()["core.run_chunk"]) == {
             "count", "total_s", "p50_s", "p95_s"}
 
@@ -75,16 +72,14 @@ class TestSinks:
         trace = tmp_path / "trace.jsonl"
         recorder = InMemoryRecorder(sinks=[JsonlSink(trace)])
         with recorder.span("work", segment=0):
-            recorder.count("chunks")
-        recorder.gauge("fill", 0.5)
+            with recorder.span("inner"):
+                pass
         recorder.close()
         events = read_jsonl(trace)
-        kinds = [event["type"] for event in events]
-        # The counter lands before the span: spans emit on *exit*.
-        assert kinds == ["counter", "span", "gauge"]
-        span_event = events[1]
-        assert span_event["name"] == "work"
-        assert span_event["attrs"] == {"segment": 0}
+        # Spans emit on *exit*, so the inner span lands first.
+        assert [event["name"] for event in events] == ["inner", "work"]
+        assert {event["type"] for event in events} == {"span"}
+        assert events[1]["attrs"] == {"segment": 0}
 
     def test_sink_opens_lazily(self, tmp_path):
         trace = tmp_path / "never.jsonl"
@@ -94,7 +89,7 @@ class TestSinks:
 
     def test_sink_context_manager_closes_idempotently(self, tmp_path):
         with JsonlSink(tmp_path / "t.jsonl") as sink:
-            sink.emit({"type": "counter", "name": "n", "value": 1.0})
+            sink.emit({"type": "span", "name": "n", "value": 1.0})
         sink.close()  # second close is a no-op
         assert read_jsonl(tmp_path / "t.jsonl")[0]["value"] == 1.0
 
@@ -115,17 +110,10 @@ class TestWriteJsonl:
         live_path = tmp_path / "live.jsonl"
         recorder = InMemoryRecorder(sinks=[JsonlSink(live_path)])
         with recorder.span("work"):
-            recorder.count("chunks", 2)
+            with recorder.span("inner", segment=1):
+                pass
         recorder.close()
         dump_path = recorder.write_jsonl(tmp_path / "dump.jsonl")
-        live_events = read_jsonl(live_path)
-        dump_events = read_jsonl(dump_path)
-        # Identical span events; the live stream records each counter
-        # increment while the dump keeps final totals, so compare the
-        # span verbatim and the counter by its accumulated value.
-        assert [e for e in dump_events if e["type"] == "span"] \
-            == [e for e in live_events if e["type"] == "span"]
-        (counter_dump,) = [e for e in dump_events
-                           if e["type"] == "counter"]
-        assert counter_dump == {"type": "counter", "name": "chunks",
-                                "value": 2.0}
+        # The dump is the live stream, line for line: spans only.
+        assert read_jsonl(dump_path) == read_jsonl(live_path)
+        assert len(read_jsonl(dump_path)) == 2

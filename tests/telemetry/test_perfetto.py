@@ -69,11 +69,10 @@ class TestFullTrace:
     def test_json_round_trip_schema(self, tmp_path):
         spans = [make_span("core.execute", 10.0, 1.0),
                  make_span("core.run_chunk", 10.1, 0.4, depth=1)]
-        path = write_perfetto(tmp_path / "trace.json", spans,
-                              counters={"core.samples": 48.0})
+        path = write_perfetto(tmp_path / "trace.json", spans)
         loaded = json.loads(path.read_text())
         assert loaded["displayTimeUnit"] == "ms"
-        assert loaded["otherData"] == {"core.samples": "48.0"}
+        assert set(loaded) == {"traceEvents", "displayTimeUnit"}
         events = loaded["traceEvents"]
         phases = [event["ph"] for event in events]
         # Two metadata events (process + track name), then the spans.

@@ -36,8 +36,8 @@ def _run_threads(target) -> None:
 
 class TestConcurrentRecorder:
     def test_spans_and_counts_from_many_threads(self, tmp_path):
-        """N threads x spans + counters through one recorder/sink:
-        every JSONL line parses, every event lands exactly once."""
+        """N threads x nested spans through one recorder/sink: every
+        JSONL line parses, every span lands exactly once."""
         trace = tmp_path / "trace.jsonl"
         recorder = InMemoryRecorder(sinks=[JsonlSink(trace)])
 
@@ -46,19 +46,19 @@ class TestConcurrentRecorder:
                 with trace_context():
                     with recorder.span("unit.work", thread=index,
                                        step=step):
-                        recorder.count("unit.events")
+                        with recorder.span("unit.event"):
+                            pass
 
         _run_threads(work)
         recorder.close()
 
-        assert recorder.counters["unit.events"] == N_THREADS * N_EVENTS
-        assert len(recorder.spans) == N_THREADS * N_EVENTS
+        assert len(recorder.spans) == 2 * N_THREADS * N_EVENTS
 
         rows = read_jsonl(trace)  # raises if any line is torn JSON
-        spans = [row for row in rows if row["type"] == "span"]
-        counts = [row for row in rows if row["type"] == "counter"]
+        spans = [row for row in rows if row["name"] == "unit.work"]
+        events = [row for row in rows if row["name"] == "unit.event"]
         assert len(spans) == N_THREADS * N_EVENTS
-        assert len(counts) == N_THREADS * N_EVENTS
+        assert len(events) == N_THREADS * N_EVENTS
         # every span got its own thread's trace id stamped, none empty
         trace_ids = {row["attrs"]["trace_id"] for row in spans}
         assert len(trace_ids) == N_THREADS * N_EVENTS
