@@ -16,6 +16,7 @@ from repro.analytes.catalog import (
 from repro.analytes.physiological import (
     PhysiologicalRange,
     ConcentrationTrajectory,
+    cohort_mean_molar,
     physiological_range,
     covers_physiological_range,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "analyte_by_name",
     "PhysiologicalRange",
     "ConcentrationTrajectory",
+    "cohort_mean_molar",
     "physiological_range",
     "covers_physiological_range",
 ]

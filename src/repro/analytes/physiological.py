@@ -19,6 +19,8 @@ by the monitor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -135,23 +137,7 @@ class ConcentrationTrajectory:
         Returns:
             Concentrations [mol/L], shaped like the input.
         """
-        t = np.asarray(hours, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("wear time must be >= 0")
-        value = np.full_like(t, self.baseline_molar, dtype=float)
-        if self.circadian_amplitude_molar > 0:
-            value = value + self.circadian_amplitude_molar * np.sin(
-                2.0 * np.pi * (t - self.circadian_phase_h)
-                / self.circadian_period_h)
-        if self.excursion_amplitude_molar > 0:
-            since_last = np.mod(t, self.excursion_interval_h)
-            # Steady-state geometric sum over all previous excursions.
-            normalization = 1.0 - np.exp(
-                -self.excursion_interval_h / self.excursion_tau_h)
-            value = value + (self.excursion_amplitude_molar
-                             * np.exp(-since_last / self.excursion_tau_h)
-                             / normalization)
-        value = np.maximum(value, self.floor_molar)
+        value = _course(np.asarray(hours, dtype=float), *_MEAN_FIELDS(self))
         if np.isscalar(hours):
             return float(value)
         return value
@@ -238,6 +224,66 @@ class ConcentrationTrajectory:
             noise_tau_h=1.0,
             floor_molar=max(window.low_molar * 0.25, 0.0),
         )
+
+
+#: The trajectory fields of the deterministic course, in ``_course``
+#: argument order.
+_MEAN_FIELDS = attrgetter(
+    "baseline_molar", "circadian_amplitude_molar", "circadian_period_h",
+    "circadian_phase_h", "excursion_amplitude_molar",
+    "excursion_interval_h", "excursion_tau_h", "floor_molar")
+
+
+def _course(t: np.ndarray, baseline, circadian_amplitude, circadian_period,
+            circadian_phase, excursion_amplitude, excursion_interval,
+            excursion_tau, floor) -> np.ndarray:
+    """The deterministic course ``C(t)`` of :class:`ConcentrationTrajectory`.
+
+    The one copy of the equation: parameters are scalars (one
+    trajectory) or columns broadcasting against ``t`` (a cohort).  A
+    term is skipped only when no row carries it; a zero-amplitude row
+    of a mixed cohort adds an exact ``0.0``, so every row equals its
+    own scalar evaluation bit for bit.
+    """
+    if np.any(t < 0):
+        raise ValueError("wear time must be >= 0")
+    value = np.broadcast_to(
+        baseline, np.broadcast_shapes(t.shape, np.shape(baseline))
+    ).astype(float)
+    if np.any(circadian_amplitude > 0):
+        value = value + circadian_amplitude * np.sin(
+            2.0 * np.pi * (t - circadian_phase) / circadian_period)
+    if np.any(excursion_amplitude > 0):
+        since_last = np.mod(t, excursion_interval)
+        # Steady-state geometric sum over all previous excursions.
+        normalization = 1.0 - np.exp(-excursion_interval / excursion_tau)
+        value = value + (excursion_amplitude
+                         * np.exp(-since_last / excursion_tau)
+                         / normalization)
+    return np.maximum(value, floor)
+
+
+def cohort_mean_molar(trajectories: "Sequence[ConcentrationTrajectory]",
+                      hours: np.ndarray) -> np.ndarray:
+    """Deterministic concentrations [mol/L] of a whole cohort at once.
+
+    Stacks each trajectory field into a column and evaluates the course
+    in one array pass; row ``i`` equals
+    ``trajectories[i].mean_molar(hours)`` bit for bit.
+
+    Args:
+        trajectories: one trajectory per row.
+        hours: wear times [h], shape ``(t,)`` (any shape works).
+
+    Returns:
+        Concentrations [mol/L], shape ``(len(trajectories),) + hours.shape``.
+    """
+    t = np.asarray(hours, dtype=float)
+    fields = np.array([_MEAN_FIELDS(trajectory)
+                       for trajectory in trajectories], dtype=float)
+    # One (n, 1, ...) column per field, broadcasting against ``t``.
+    columns = fields.T.reshape(fields.shape[1], -1, *(1,) * t.ndim)
+    return _course(t, *columns)
 
 
 _RANGES: dict[str, PhysiologicalRange] = {

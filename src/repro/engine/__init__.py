@@ -83,6 +83,7 @@ from repro.engine.monitor import (
     cohort,
     digitize_rows,
     glucose_cohort,
+    group_rows,
     reading_noise_sigma_a,
     run_monitor,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "cohort",
     "digitize_rows",
     "glucose_cohort",
+    "group_rows",
     "reading_noise_sigma_a",
     "run_monitor",
     "therapy",

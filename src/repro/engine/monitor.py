@@ -43,10 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.analytes.physiological import ConcentrationTrajectory
+from repro.analytes.physiological import (
+    ConcentrationTrajectory,
+    cohort_mean_molar,
+)
 from repro.bio.matrix import SERUM
 from repro.core.longterm import (
     DriftBudget,
@@ -79,6 +83,8 @@ from repro.signal.drift import ou_process_batch
 
 #: Generator streams spawned per channel (trajectory, wander, measurement).
 _STREAMS_PER_CHANNEL = 3
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -377,12 +383,54 @@ class _ChannelParams:
     day0_intercept: np.ndarray
 
 
+def group_rows(objects: "Sequence[_T]"
+               ) -> "list[tuple[_T, slice | np.ndarray]]":
+    """Group a cohort's rows by the object each row uses.
+
+    Rows are grouped by object *identity* — cheap, and correct for
+    cohorts of equal-but-distinct objects — so per-design physics runs
+    once per group on an array block instead of once per row.  The
+    common case, one object (a sensor design, a drift budget) shared
+    by every row, maps to ``slice(None)``, so the block is a view.
+
+    Args:
+        objects: one object per row.
+
+    Returns:
+        ``(object, rows)`` pairs in order of first appearance, where
+        ``rows`` indexes the row axis: ``slice(None)`` for a single
+        group, integer index arrays otherwise.
+    """
+    first = objects[0]
+    if all(item is first for item in objects):
+        return [(first, slice(None))]
+    groups: dict[int, tuple[_T, list[int]]] = {}
+    for i, item in enumerate(objects):
+        groups.setdefault(id(item), (item, []))[1].append(i)
+    return [(item, np.array(rows)) for item, rows in groups.values()]
+
+
+def _per_group(objects: "Sequence[_T]",
+               value: "Callable[[_T], float]") -> np.ndarray:
+    """``value(object)`` per row, evaluated once per distinct object."""
+    out = np.empty(len(objects))
+    for item, rows in group_rows(objects):
+        out[rows] = value(item)
+    return out
+
+
 def _gather(plan: MonitorPlan) -> _ChannelParams:
-    """Collect the per-channel scalar parameters of a cohort."""
+    """Collect the per-channel scalar parameters of a cohort.
+
+    Attribute reads stay per channel; the derived per-design values
+    (Arrhenius decay rates, chain noise) are evaluated once per
+    distinct budget or sensor.
+    """
     channels = plan.channels
     return _ChannelParams(
-        decay_rate_per_hour=np.array(
-            [c.budget.decay_rate_per_hour for c in channels]),
+        decay_rate_per_hour=_per_group(
+            [c.budget for c in channels],
+            lambda budget: budget.decay_rate_per_hour),
         background_a=np.array(
             [c.sensor.background_current_a for c in channels]),
         baseline_drift_a_per_hour=np.array(
@@ -397,8 +445,8 @@ def _gather(plan: MonitorPlan) -> _ChannelParams:
             [c.trajectory.noise_tau_h * 3600.0 for c in channels]),
         floor_molar=np.array(
             [c.trajectory.floor_molar for c in channels]),
-        measurement_sigma_a=np.array(
-            [reading_noise_sigma_a(c.sensor) for c in channels]),
+        measurement_sigma_a=_per_group(
+            [c.sensor for c in channels], reading_noise_sigma_a),
         day0_slope=np.array(
             [c.day0_slope_a_per_molar for c in channels]),
         day0_intercept=np.array(
@@ -426,7 +474,8 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
     rail saturation, then SAR-ADC quantization, referred back to input.
     (The chain's *noise* floor enters separately as part of the
     per-reading measurement sigma.)  Shared by the monitor and therapy
-    engines — row ``i`` of ``currents`` goes through ``sensors[i]``.
+    engines — row ``i`` of ``currents`` goes through ``sensors[i]``, one
+    array pass per distinct sensor (:func:`group_rows`).
 
     Args:
         sensors: one deployed sensor per row (repeat an instance for a
@@ -437,17 +486,12 @@ def digitize_rows(sensors: "list[Biosensor] | tuple[Biosensor, ...]",
         Input-referred digitized readings [A], same shape.
     """
     digitized = np.empty_like(currents)
-    for i, sensor in enumerate(sensors):
+    for sensor, rows in group_rows(sensors):
         chain = sensor.chain
-        volts = np.clip(currents[i] * chain.tia.gain_v_per_a,
+        volts = np.clip(currents[rows] * chain.tia.gain_v_per_a,
                         -chain.tia.rail_v, chain.tia.rail_v)
-        digitized[i] = chain.adc.convert(volts) / chain.tia.gain_v_per_a
+        digitized[rows] = chain.adc.convert(volts) / chain.tia.gain_v_per_a
     return digitized
-
-
-def _digitize_rows(plan: MonitorPlan, currents: np.ndarray) -> np.ndarray:
-    """Digitize a monitor chunk through the cohort's chains."""
-    return digitize_rows([c.sensor for c in plan.channels], currents)
 
 
 def estimate_chunk_with_recalibration(
@@ -560,8 +604,12 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
     n_channels, n_samples = plan.n_channels, plan.n_samples
     rngs = spawn_generators(plan.seed, _STREAMS_PER_CHANNEL * n_channels)
     keep = plan.keep_traces
+    sensors = [channel.sensor for channel in plan.channels]
     return SimpleNamespace(
         params=params,
+        trajectories=[channel.trajectory for channel in plan.channels],
+        sensors=sensors,
+        sensor_groups=group_rows(sensors),
         trajectory_rngs=rngs[0::_STREAMS_PER_CHANNEL],
         wander_rngs=rngs[1::_STREAMS_PER_CHANNEL],
         measurement_rngs=rngs[2::_STREAMS_PER_CHANNEL],
@@ -595,9 +643,7 @@ def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
     t_h = plan.sample_times_h(start, stop)
 
     # --- truth: physiological concentration per channel ------------
-    c_mean = np.stack([
-        channel.trajectory.mean_molar(t_h)
-        for channel in plan.channels])
+    c_mean = cohort_mean_molar(state.trajectories, t_h)
     if plan.add_noise:
         c_noise, state.trajectory_state = ou_process_batch(
             chunk, plan.sample_period_s, params.noise_tau_s,
@@ -608,10 +654,10 @@ def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
     c = np.maximum(c_mean + c_noise, params.floor_molar[:, None])
 
     # --- sensor physics: drifted faradaic response + baseline ------
-    faradaic = np.stack([
-        np.asarray(channel.sensor.layer.steady_state_current(
-            c[i], channel.sensor.area_m2), dtype=float)
-        for i, channel in enumerate(plan.channels)])
+    faradaic = np.empty((n_channels, chunk))
+    for sensor, rows in state.sensor_groups:
+        faradaic[rows] = sensor.layer.steady_state_current(
+            c[rows], sensor.area_m2)
     retention = np.exp(
         -params.decay_rate_per_hour[:, None] * t_h[None, :])
     baseline = (params.background_a[:, None]
@@ -631,7 +677,7 @@ def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
         shocks = np.stack([
             rng.standard_normal(chunk) for rng in state.measurement_rngs])
         current = current + params.measurement_sigma_a[:, None] * shocks
-    measured = _digitize_rows(plan, current)
+    measured = digitize_rows(state.sensors, current)
 
     # --- estimation + online recalibration, segment-wise -----------
     estimates, state.slopes, events = estimate_chunk_with_recalibration(

@@ -37,8 +37,14 @@ import numpy as np
 
 from typing import Sequence
 
+from repro.analytes.physiological import cohort_mean_molar
 from repro.core.sensor import Biosensor
-from repro.engine.monitor import MonitorPlan, reading_noise_sigma_a
+from repro.engine.monitor import (
+    MonitorPlan,
+    _gather,
+    group_rows,
+    reading_noise_sigma_a,
+)
 
 
 def quantization_sigma_a(sensor: Biosensor) -> float:
@@ -94,11 +100,11 @@ def rail_censored_mask(sensors: "Sequence[Biosensor]",
             f"measured block must be ({len(sensors)}, n_samples), "
             f"got {measured.shape}")
     mask = np.empty(measured.shape, dtype=bool)
-    for i, sensor in enumerate(sensors):
+    for sensor, rows in group_rows(sensors):
         chain = sensor.chain
-        rail_i = chain.tia.rail_v / chain.tia.gain_v_per_a
+        rail = chain.tia.rail_v / chain.tia.gain_v_per_a
         guard = 1.5 * chain.adc.lsb_v / chain.tia.gain_v_per_a
-        mask[i] = np.abs(measured[i]) >= rail_i - guard
+        mask[rows] = np.abs(measured[rows]) >= rail - guard
     return mask
 
 
@@ -212,7 +218,11 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     :class:`~repro.core.longterm.DriftBudget` decay rates, OU noise and
     wander parameters, chain noise, quantization — so a filter driven by
     this model is consistent-by-construction with what
-    :func:`repro.engine.monitor.run_monitor` simulated.
+    :func:`repro.engine.monitor.run_monitor` simulated.  The model is
+    built from arrays: the response linearization and measurement
+    variance run once per distinct sensor on its ``(rows, n_samples)``
+    block of trajectory means (:func:`~repro.engine.monitor.group_rows`),
+    every other term as a per-channel column.
 
     Args:
         plan: the wear simulation whose currents will be inverted.
@@ -223,48 +233,41 @@ def monitor_observation_model(plan: MonitorPlan) -> MonitorObservationModel:
     n, t = plan.n_channels, plan.n_samples
     time_h = plan.sample_times_h(0, t)
     dt_s = plan.sample_period_s
-    mean = np.empty((n, t))
-    gain = np.empty((n, t))
-    offset = np.empty((n, t))
+    channels = plan.channels
+    params = _gather(plan)
+    mean = cohort_mean_molar([c.trajectory for c in channels], time_h)
+    response = np.empty((n, t))
+    slope = np.empty((n, t))
     r = np.empty(n)
-    a_signal = np.empty(n)
-    q_signal = np.empty(n)
-    a_wander = np.empty(n)
-    q_wander = np.empty(n)
-    floor = np.empty(n)
-    for i, channel in enumerate(plan.channels):
-        sensor = channel.sensor
-        mean[i] = np.asarray(channel.trajectory.mean_molar(time_h),
-                             dtype=float)
-        retention = np.exp(-channel.budget.decay_rate_per_hour * time_h)
-        response, slope = response_linearization(sensor, mean[i])
-        gain[i] = retention * slope
-        baseline = (sensor.background_current_a
-                    + channel.budget.matrix.baseline_drift_a_per_hour_per_m2
-                    * sensor.area_m2 * time_h)
-        offset[i] = retention * response + baseline
-        r[i] = observation_variance_a2(sensor, add_noise=plan.add_noise)
-        a_c = np.exp(-dt_s / (channel.trajectory.noise_tau_h * 3600.0))
-        a_w = np.exp(-dt_s / (channel.wander_tau_h * 3600.0))
-        a_signal[i] = a_c
-        a_wander[i] = a_w
-        if plan.add_noise:
-            q_signal[i] = (channel.trajectory.noise_sigma_molar ** 2
-                           * (1.0 - a_c ** 2))
-            q_wander[i] = channel.wander_sigma_a ** 2 * (1.0 - a_w ** 2)
-        else:
-            q_signal[i] = 0.0
-            q_wander[i] = 0.0
-        floor[i] = channel.trajectory.floor_molar
+    for sensor, rows in group_rows([c.sensor for c in channels]):
+        response[rows], slope[rows] = response_linearization(
+            sensor, mean[rows])
+        r[rows] = observation_variance_a2(sensor, add_noise=plan.add_noise)
+    retention = np.exp(-params.decay_rate_per_hour[:, None] * time_h)
+    baseline = (params.background_a[:, None]
+                + params.baseline_drift_a_per_hour[:, None] * time_h)
+    a_signal = np.exp(-dt_s / params.noise_tau_s)
+    a_wander = np.exp(-dt_s / params.wander_tau_s)
+    if plan.add_noise:
+        # float_power, not ``**``: libm pow like the scalar ``x ** 2``
+        # these columns replace (numpy's array ``** 2`` is ``x * x``,
+        # which can differ in the last bit).
+        q_signal = (np.float_power(params.noise_sigma_molar, 2)
+                    * (1.0 - np.float_power(a_signal, 2)))
+        q_wander = (np.float_power(params.wander_sigma_a, 2)
+                    * (1.0 - np.float_power(a_wander, 2)))
+    else:
+        q_signal = np.zeros(n)
+        q_wander = np.zeros(n)
     return MonitorObservationModel(
         time_h=time_h,
         mean_molar=mean,
-        gain_a_per_molar=gain,
-        offset_a=offset,
+        gain_a_per_molar=retention * slope,
+        offset_a=retention * response + baseline,
         measurement_variance_a2=r,
         a_signal=a_signal,
         q_signal=q_signal,
         a_wander=a_wander,
         q_wander=q_wander,
-        floor_molar=floor,
+        floor_molar=params.floor_molar,
     )

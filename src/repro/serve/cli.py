@@ -18,15 +18,13 @@ from pathlib import Path
 
 
 def _install_shutdown_handlers() -> None:
-    """Map SIGINT/SIGTERM to a clean ``KeyboardInterrupt`` shutdown.
+    """Map SIGINT/SIGTERM to ``KeyboardInterrupt`` until the loop runs.
 
-    A process launched in the background from a non-interactive shell
-    (CI smoke jobs, supervisors) inherits SIGINT as ignored, in which
-    case ``asyncio.run`` never installs its graceful handler and the
-    server can only be SIGKILLed — losing the telemetry flush.  Restore
-    the default SIGINT disposition and treat SIGTERM the same way so
-    ``kill`` and ``kill -INT`` both unwind through the server's stop
-    path.
+    Covers the boot phase only; once serving, :func:`_serve` handles
+    both signals on the event loop.  A process launched in the
+    background from a non-interactive shell (CI smoke jobs,
+    supervisors) inherits SIGINT as ignored; restoring the default
+    disposition here means ``kill -INT`` works from the first moment.
     """
 
     def _terminate(signum, frame):
@@ -37,9 +35,31 @@ def _install_shutdown_handlers() -> None:
         signal.signal(signal.SIGTERM, _terminate)
 
 
+async def _serve(server) -> None:
+    """Serve until SIGINT or SIGTERM, then stop the server cleanly.
+
+    The signals are handled on the event loop (``add_signal_handler``):
+    they set a stop event between callbacks instead of raising in
+    whatever frame happens to run, so a signal during a large result
+    write cannot tear through a connection handler.  In-flight
+    connections are cancelled when ``asyncio.run`` winds down, which
+    the server's connection handler absorbs.
+    """
+    stop = asyncio.Event()
+    if threading.current_thread() is threading.main_thread():
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
+    await server.start()
+    try:
+        await stop.wait()
+    finally:
+        await server.stop()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the serving process until interrupted."""
-    from repro.serve.server import ReproServer, _run_server
+    from repro.serve.server import ReproServer
     from repro.telemetry import telemetry_env_enabled
 
     telemetry_on = (args.telemetry or args.trace_out is not None
@@ -63,7 +83,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          per_workload=args.per_workload)
     _install_shutdown_handlers()
     try:
-        asyncio.run(_run_server(server))
+        asyncio.run(_serve(server))
     except KeyboardInterrupt:
         pass
     finally:

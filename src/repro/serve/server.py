@@ -139,17 +139,20 @@ class _Stream:
         }
 
 
-def _jsonify(value):
-    """Recursively convert numpy containers into JSON-clean values."""
+def _json_default(value):
+    """``json.dumps`` hook for the numpy values the encoder cannot write.
+
+    Only called for objects the C encoder rejects, so plain payloads
+    (every result's ``to_dict``) are never walked twice; ``np.float64``
+    subclasses ``float`` and is written directly, digit for digit what
+    ``.item()`` would give.
+    """
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class ReproServer:
@@ -251,12 +254,6 @@ class ReproServer:
         if self._installed_registry:
             set_metrics_registry(self._previous_registry)
             self._installed_registry = False
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -457,12 +454,20 @@ class ReproServer:
                     extra_headers={"X-Trace-Id": trace_id})
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
+        except asyncio.CancelledError:
+            # Shutdown cancels in-flight connections: drop this one
+            # unflushed (its peer may have stopped reading) and end
+            # quietly — a cancelled connection task is reported as an
+            # error by the asyncio stream machinery.
+            writer.transport.abort()
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            except asyncio.CancelledError:
+                writer.transport.abort()
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one HTTP/1.1 request; None for an empty connection."""
@@ -499,7 +504,7 @@ class ReproServer:
             body = payload.text.encode("utf-8")
             content_type = payload.content_type
         else:
-            body = json.dumps(_jsonify(payload)).encode()
+            body = json.dumps(payload, default=_json_default).encode()
             content_type = "application/json"
         text = _STATUS_TEXT.get(status, "Unknown")
         head = (f"HTTP/1.1 {status} {text}\r\n"
@@ -706,17 +711,6 @@ class ReproServer:
                 "time_h": update.time_h,
                 "values": update.values,
             }
-
-
-async def _run_server(server: ReproServer) -> None:
-    """Start and serve until interrupted (the CLI entry)."""
-    await server.start()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop()
 
 
 class ServerThread:

@@ -14,6 +14,7 @@ from repro.analytes.catalog import (
 )
 from repro.analytes.physiological import (
     ConcentrationTrajectory,
+    cohort_mean_molar,
     covers_physiological_range,
     physiological_range,
 )
@@ -155,3 +156,62 @@ class TestConcentrationTrajectory:
         with pytest.raises(ValueError):
             ConcentrationTrajectory(baseline_molar=1e-3,
                                     excursion_tau_h=0.0)
+
+
+class TestCohortMeanMolar:
+    """The cohort evaluator runs the same formula as ``mean_molar``."""
+
+    @pytest.fixture(scope="class")
+    def trajectories(self):
+        from repro.pk.models import OneCompartmentPK
+
+        glucose = ConcentrationTrajectory.for_analyte("glucose")
+        return [
+            glucose,
+            ConcentrationTrajectory.for_analyte("lactate"),
+            # zero circadian amplitude, excursions only
+            ConcentrationTrajectory(
+                baseline_molar=1e-3, excursion_amplitude_molar=4e-4,
+                excursion_interval_h=8.0, excursion_tau_h=2.0),
+            # zero excursion amplitude, circadian only
+            ConcentrationTrajectory(
+                baseline_molar=1e-3, circadian_amplitude_molar=2e-4,
+                circadian_period_h=12.0, circadian_phase_h=3.0),
+            # neither component: a constant
+            ConcentrationTrajectory(baseline_molar=2e-3),
+            # a floor that is active over part of the day
+            ConcentrationTrajectory(
+                baseline_molar=1e-4, circadian_amplitude_molar=5e-4,
+                floor_molar=5e-5),
+            # a PK-driven drug course: zero baseline, excursions only
+            ConcentrationTrajectory.from_pk(
+                OneCompartmentPK(clearance_l_per_h=5.0, volume_l=40.0),
+                dose_mol=1e-4, interval_h=12.0),
+        ]
+
+    def test_rows_equal_per_trajectory_bit_for_bit(self, trajectories):
+        hours = np.linspace(0.0, 96.0, 1153)
+        cohort = cohort_mean_molar(trajectories, hours)
+        assert cohort.shape == (len(trajectories), hours.size)
+        expected = np.stack([trajectory.mean_molar(hours)
+                             for trajectory in trajectories])
+        np.testing.assert_array_equal(cohort, expected)
+        assert np.any(cohort[5] == 5e-5)  # the floor really clamps
+
+    def test_uniform_cohort_equals_per_trajectory(self, trajectories):
+        """The common case: every row carries both components."""
+        hours = np.arange(1, 289) * (300.0 / 3600.0)
+        cohort = [trajectories[0]] * 3 + [trajectories[1]]
+        np.testing.assert_array_equal(
+            cohort_mean_molar(cohort, hours),
+            np.stack([trajectory.mean_molar(hours)
+                      for trajectory in cohort]))
+
+    def test_single_time_and_scalar_agree(self, trajectories):
+        values = cohort_mean_molar(trajectories, np.array([7.25]))
+        for row, trajectory in zip(values[:, 0], trajectories):
+            assert row == trajectory.mean_molar(7.25)
+
+    def test_rejects_negative_time(self, trajectories):
+        with pytest.raises(ValueError, match="wear time"):
+            cohort_mean_molar(trajectories, np.array([1.0, -0.5]))

@@ -14,11 +14,13 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.scenarios import Scenario, ScenarioRun, run_scenario
 from repro.scenarios.protocols import WORKLOADS, register_workload
 from repro.serve import ServeClient, ServeError, ServerThread
+from repro.serve.server import _json_default
 
 MONITOR_SCENARIO = Scenario(
     workload="monitor", name="serve-wear", seed=11,
@@ -114,6 +116,27 @@ class TestJobs:
         assert done["status"] == "done"
         remote = client.result(job["job_id"], traces=True)
         assert remote == batch_artifact(MONITOR_SCENARIO)
+
+    def test_traced_result_body_is_the_batch_encoding(self, client):
+        """The raw response body is ``json.dumps`` of the batch
+        artifact, byte for byte — no re-walk, no re-formatting."""
+        import http.client as http_client
+
+        job = client.submit(ESTIMATION_SCENARIO.to_dict())
+        client.wait_for_job(job["job_id"])
+        connection = http_client.HTTPConnection(
+            client.host, client.port, timeout=30)
+        try:
+            connection.request(
+                "GET", f"/scenarios/{job['job_id']}/result?traces=1")
+            body = connection.getresponse().read()
+        finally:
+            connection.close()
+        expected = ScenarioRun(
+            scenario=ESTIMATION_SCENARIO,
+            result=run_scenario(ESTIMATION_SCENARIO),
+        ).to_dict(include_traces=True)
+        assert body == json.dumps(expected).encode()
 
     def test_non_streaming_workloads_still_run_as_jobs(self, client):
         job = client.submit(CALIBRATION_SCENARIO.to_dict())
@@ -341,6 +364,35 @@ class TestBackpressure:
         finally:
             _SleepyWorkload.release.set()
             WORKLOADS.pop(_SleepyWorkload.name, None)
+
+
+class TestJsonEncoding:
+    def test_numpy_payloads_encode_as_before(self):
+        """ndarrays, numpy scalars, tuples and non-finite floats encode
+        to the bytes the server has always written for them."""
+        payload = {
+            "array": np.array([[1.5, -0.25], [np.nan, np.inf]]),
+            "ints": np.arange(3, dtype=np.int64),
+            "f32": np.float32(0.1),
+            "f64": np.float64(1e-17),
+            "i64": np.int64(-7),
+            "tuple": (1, np.float32(2.5), (np.int64(3), "x")),
+            "special": [float("nan"), float("inf"), -np.inf],
+            "nested": [{"a": np.array([np.float32(0.3)])}, None, True],
+            "empty": np.zeros((0, 2)),
+            "scalar0d": np.array(4.25),
+        }
+        assert json.dumps(payload, default=_json_default) == (
+            '{"array": [[1.5, -0.25], [NaN, Infinity]], '
+            '"ints": [0, 1, 2], "f32": 0.10000000149011612, '
+            '"f64": 1e-17, "i64": -7, "tuple": [1, 2.5, [3, "x"]], '
+            '"special": [NaN, Infinity, -Infinity], '
+            '"nested": [{"a": [0.30000001192092896]}, null, true], '
+            '"empty": [], "scalar0d": 4.25}')
+
+    def test_unknown_objects_still_raise(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"x": object()}, default=_json_default)
 
 
 class TestRequestLimits:
