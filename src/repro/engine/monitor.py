@@ -604,12 +604,10 @@ def _init_monitor_state(plan: MonitorPlan) -> SimpleNamespace:
     n_channels, n_samples = plan.n_channels, plan.n_samples
     rngs = spawn_generators(plan.seed, _STREAMS_PER_CHANNEL * n_channels)
     keep = plan.keep_traces
-    sensors = [channel.sensor for channel in plan.channels]
     return SimpleNamespace(
         params=params,
         trajectories=[channel.trajectory for channel in plan.channels],
-        sensors=sensors,
-        sensor_groups=group_rows(sensors),
+        sensors=[channel.sensor for channel in plan.channels],
         trajectory_rngs=rngs[0::_STREAMS_PER_CHANNEL],
         wander_rngs=rngs[1::_STREAMS_PER_CHANNEL],
         measurement_rngs=rngs[2::_STREAMS_PER_CHANNEL],
@@ -655,7 +653,7 @@ def _monitor_chunk(plan: MonitorPlan, state: SimpleNamespace,
 
     # --- sensor physics: drifted faradaic response + baseline ------
     faradaic = np.empty((n_channels, chunk))
-    for sensor, rows in state.sensor_groups:
+    for sensor, rows in group_rows(state.sensors):
         faradaic[rows] = sensor.layer.steady_state_current(
             c[rows], sensor.area_m2)
     retention = np.exp(

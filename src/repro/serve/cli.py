@@ -41,9 +41,9 @@ async def _serve(server) -> None:
     The signals are handled on the event loop (``add_signal_handler``):
     they set a stop event between callbacks instead of raising in
     whatever frame happens to run, so a signal during a large result
-    write cannot tear through a connection handler.  In-flight
-    connections are cancelled when ``asyncio.run`` winds down, which
-    the server's connection handler absorbs.
+    write cannot tear through a connection handler.
+    :meth:`~repro.serve.server.ReproServer.stop` then cancels the
+    in-flight connections, which the connection handler absorbs.
     """
     stop = asyncio.Event()
     if threading.current_thread() is threading.main_thread():

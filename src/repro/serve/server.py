@@ -207,6 +207,7 @@ class ReproServer:
         self._queue: "asyncio.Queue[_Job] | None" = None
         self._semaphores: "dict[str, asyncio.Semaphore]" = {}
         self._tasks: "list[asyncio.Task]" = []
+        self._connections: "set[asyncio.Task]" = set()
         self._server: "asyncio.base_events.Server | None" = None
         self._pool: "ThreadPoolExecutor | None" = None
 
@@ -237,9 +238,21 @@ class ReproServer:
                   self.port, self.queue_size, self.workers)
 
     async def stop(self) -> None:
-        """Close the listener, cancel workers, release the pool."""
+        """Close the listener and in-flight connections, cancel
+        workers, release the pool.
+
+        In-flight connection handlers are cancelled before waiting on
+        the listener: ``Server.wait_closed`` waits for every open
+        connection on Python >= 3.12.1, and a client that stopped
+        reading (or never sent a request) would otherwise hold it
+        forever.
+        """
         if self._server is not None:
             self._server.close()
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
         for task in self._tasks:
             task.cancel()
@@ -418,6 +431,8 @@ class ReproServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """Read one request, route it under a fresh trace id, respond."""
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             try:
                 request = await self._read_request(reader)
@@ -455,12 +470,13 @@ class ReproServer:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except asyncio.CancelledError:
-            # Shutdown cancels in-flight connections: drop this one
-            # unflushed (its peer may have stopped reading) and end
-            # quietly — a cancelled connection task is reported as an
-            # error by the asyncio stream machinery.
+            # Shutdown (:meth:`stop`) cancels in-flight connections:
+            # drop this one unflushed (its peer may have stopped
+            # reading) and end quietly — a cancelled connection task is
+            # reported as an error by the asyncio stream machinery.
             writer.transport.abort()
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

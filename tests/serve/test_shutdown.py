@@ -4,11 +4,15 @@ A real server subprocess is signalled while it is writing a
 multi-megabyte ``?traces=1`` result to a client that has stopped
 reading.  The process must exit 0 without printing a traceback: the
 signal is handled on the event loop, and the cancelled in-flight
-connection is dropped quietly.
+connection is dropped quietly.  In process, ``ReproServer.stop`` must
+close a connection that never sent its request instead of leaving it
+open (on Python >= 3.12.1 ``Server.wait_closed`` would wait for it
+forever).
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import socket
@@ -18,6 +22,7 @@ import time
 from pathlib import Path
 
 from repro.serve import ServeClient
+from repro.serve.server import ReproServer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -91,3 +96,33 @@ def test_sigterm_mid_fetch_exits_cleanly():
             process.communicate()
     assert process.returncode == 0, stderr.decode()
     assert b"Traceback" not in stderr, stderr.decode()
+
+
+def test_stop_closes_idle_connection():
+    async def scenario() -> bytes:
+        server = ReproServer(port=0)
+        await server.start()
+        try:
+            idle_reader, idle_writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            # Request line but no blank line: the handler waits on it.
+            idle_writer.write(b"GET /healthz HTTP/1.1\r\n")
+            await idle_writer.drain()
+            # A full round trip on a later connection guarantees the
+            # idle connection's handler is already running.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert (await reader.read()).startswith(b"HTTP/1.1 200")
+            writer.close()
+        finally:
+            await asyncio.wait_for(server.stop(), timeout=10.0)
+        try:
+            return await asyncio.wait_for(idle_reader.read(),
+                                          timeout=10.0)
+        except ConnectionResetError:
+            return b""
+        finally:
+            idle_writer.close()
+
+    assert asyncio.run(scenario()) == b""
